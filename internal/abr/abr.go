@@ -152,13 +152,22 @@ func (h HYB) SelectRung(ctx Context) int {
 		return 0
 	}
 	discounted := units.BitsPerSecond(float64(x) * beta)
-	best := 0
-	for rung := range ctx.Title.Ladder {
-		if predictedBufferPositive(ctx, rung, look, discounted) {
-			best = rung
+	return highestFeasibleRung(ctx, look, discounted)
+}
+
+// highestFeasibleRung is the highest rung whose predicted buffer stays
+// positive over the lookahead at throughput x, or 0 when none does. It
+// scans the ladder downward and stops at the first feasible rung, which is
+// the same rung an upward scan keeping the last feasible one returns, with
+// no assumption that feasibility is monotone in the rung. Rung 0 is the
+// answer either way, so it is never simulated.
+func highestFeasibleRung(ctx Context, look int, x units.BitsPerSecond) int {
+	for rung := len(ctx.Title.Ladder) - 1; rung > 0; rung-- {
+		if predictedBufferPositive(ctx, rung, look, x) {
+			return rung
 		}
 	}
-	return best
+	return 0
 }
 
 // predictedBufferPositive simulates the buffer over the lookahead at the

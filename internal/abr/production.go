@@ -80,12 +80,7 @@ func (p Production) SelectRung(ctx Context) int {
 	}
 
 	discounted := units.BitsPerSecond(float64(x) * beta)
-	best := 0
-	for rung := range ctx.Title.Ladder {
-		if predictedBufferPositive(ctx, rung, look, discounted) {
-			best = rung
-		}
-	}
+	best := highestFeasibleRung(ctx, look, discounted)
 
 	// Hysteresis: climbing is damped to one rung per chunk unless the
 	// buffer is comfortable; dropping is immediate (rebuffer avoidance

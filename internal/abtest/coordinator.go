@@ -479,9 +479,10 @@ func mergeFleet(cfg CoordinatorConfig, scfg ShardRunConfig, hash string, plan []
 	return res, nil
 }
 
-// cleanRunDir removes a previous run's protocol files — checkpoints, leases,
-// poison markers, the manifest, and stray atomic-write temp files — so a
-// fresh (non-resume) coordinated run starts from a blank ledger.
+// cleanRunDir removes a previous run's protocol files — checkpoints, leases
+// and their steal tokens, poison markers, the manifest, and stray
+// atomic-write temp files — so a fresh (non-resume) coordinated run starts
+// from a blank ledger.
 func cleanRunDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -493,6 +494,7 @@ func cleanRunDir(dir string) error {
 		case name == manifestName,
 			strings.HasSuffix(name, ".ckpt"),
 			strings.HasSuffix(name, ".lease"),
+			strings.Contains(name, ".lease.steal-"),
 			strings.HasSuffix(name, ".poison"),
 			strings.Contains(name, ".tmp"):
 			if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {

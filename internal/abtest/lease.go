@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -26,11 +28,18 @@ import (
 // keeps getting stolen with a growing attempt count until the coordinator
 // quarantines it.
 //
-// Steals race: two stealers can both rename over an expired lease, and the
-// loser's rename is silently replaced by the winner's. Every holder
-// therefore re-reads the file and checks that it still names them — after
-// claiming, on every heartbeat, and immediately before writing the shard
-// checkpoint. A holder that finds a different owner abandons the shard.
+// Steals race, so each steal is gated on a second exclusive create: before
+// renaming over a lease at attempt g, a stealer must create the token
+//
+//	shard-NNNN.lease.steal-<g+1>
+//
+// with O_CREATE|O_EXCL. Only the token's creator proceeds, and only if the
+// lease on disk is still the expired generation g it inspected; the winner
+// removes the tokens up to its own generation once its lease is in place.
+// Every holder still re-reads the file and checks that it names them —
+// after claiming, on every heartbeat, and immediately before writing the
+// shard checkpoint — because a holder paused past the TTL can be stolen
+// from. A holder that finds a different owner abandons the shard.
 // The unavoidable window (verify, then a steal lands, then both finish the
 // shard) is harmless by design: a shard checkpoint's bytes are a pure
 // function of the run config, so duplicate executions write identical
@@ -38,7 +47,7 @@ import (
 // double-count. See DESIGN.md §15 for the full argument.
 
 const (
-	leaseSchema = "sammy-lease/v1"
+	leaseSchema  = "sammy-lease/v1"
 	poisonSchema = "sammy-poison/v1"
 
 	// DefaultLeaseTTL is how stale a lease's mtime must be before another
@@ -104,14 +113,23 @@ type leaseInfo struct {
 	age     time.Duration
 }
 
+// fileAge reports how long ago path was last modified, and false when it
+// does not exist.
+func fileAge(path string) (time.Duration, bool) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, false
+	}
+	return time.Since(fi.ModTime()), true //sammy:nondeterministic-ok: lease liveness is wall-clock by design (file mtimes); it gates only who runs a shard, never the shard's deterministic output
+}
+
 // inspectLease reads shard i's lease state without taking it.
 func inspectLease(dir string, shard int, ttl time.Duration) leaseInfo {
 	path := filepath.Join(dir, leaseFileName(shard))
-	fi, err := os.Stat(path)
-	if err != nil {
+	age, ok := fileAge(path)
+	if !ok {
 		return leaseInfo{state: leaseNone}
 	}
-	age := time.Since(fi.ModTime()) //sammy:nondeterministic-ok: lease liveness is wall-clock by design (file mtimes); it gates only who runs a shard, never the shard's deterministic output
 	info := leaseInfo{age: age}
 	data, err := os.ReadFile(path)
 	var p leasePayload
@@ -202,7 +220,22 @@ func claimShardLease(dir string, shard int, owner, configHash string, ttl time.D
 		}
 		return &Lease{dir: dir, shard: shard, owner: owner, configHash: configHash, attempt: 1, ttl: ttl}, claimFresh, nil
 	default: // leaseExpired, leaseCorrupt past its TTL
-		p := leasePayload{Schema: leaseSchema, ConfigHash: configHash, Shard: shard, Owner: owner, Attempt: info.attempt + 1}
+		gen := info.attempt + 1
+		won, err := takeStealToken(dir, shard, gen, ttl)
+		if err != nil || !won {
+			return nil, 0, err
+		}
+		// Whatever happens next, this generation's token has done its job:
+		// a late stealer that re-creates it still fails the check below.
+		defer os.Remove(stealTokenPath(dir, shard, gen))
+		// The token orders stealers of one generation, but a stealer that
+		// inspected long ago may hold the token of a generation that has
+		// since moved on (or been released): only proceed if the lease is
+		// still the expired one this token was taken for.
+		if now := inspectLease(dir, shard, ttl); now.state == leaseFresh || now.state == leaseNone || now.attempt != info.attempt {
+			return nil, 0, nil
+		}
+		p := leasePayload{Schema: leaseSchema, ConfigHash: configHash, Shard: shard, Owner: owner, Attempt: gen}
 		body, err := json.Marshal(p)
 		if err != nil {
 			return nil, 0, err
@@ -224,13 +257,61 @@ func claimShardLease(dir string, shard int, owner, configHash string, ttl time.D
 		if err := os.Rename(tmpName, path); err != nil {
 			return nil, 0, err
 		}
-		l := &Lease{dir: dir, shard: shard, owner: owner, configHash: configHash, attempt: p.Attempt, ttl: ttl}
-		// Concurrent stealers rename over each other; the last writer owns
-		// the shard. Verify before declaring victory.
+		removeStealTokens(dir, shard, gen-1)
+		l := &Lease{dir: dir, shard: shard, owner: owner, configHash: configHash, attempt: gen, ttl: ttl}
+		// The token makes this the only stealer of its generation; the
+		// re-read still guards against a holder that was paused past the
+		// TTL between taking its token and renaming.
 		if !l.ownedByMe() {
 			return nil, 0, nil
 		}
 		return l, claimStolen, nil
+	}
+}
+
+// stealTokenPath names the token a stealer must create exclusively before
+// replacing shard's lease with generation gen (the new Attempt value).
+func stealTokenPath(dir string, shard, gen int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s.steal-%d", leaseFileName(shard), gen))
+}
+
+// takeStealToken exclusively creates the steal token for generation gen and
+// reports whether this caller won it. Only the winner may rename over the
+// expired lease, so concurrent stealers of one generation cannot both
+// proceed. A token older than the TTL belongs to a stealer that died
+// between taking it and renaming; it is removed so the next claim attempt
+// can retry, and this attempt reports a loss.
+func takeStealToken(dir string, shard, gen int, ttl time.Duration) (bool, error) {
+	token := stealTokenPath(dir, shard, gen)
+	f, err := os.OpenFile(token, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err == nil {
+		return true, f.Close()
+	}
+	if !os.IsExist(err) {
+		return false, err
+	}
+	if age, ok := fileAge(token); ok && age >= ttl {
+		os.Remove(token)
+	}
+	return false, nil
+}
+
+// removeStealTokens deletes shard's steal tokens for generations up to and
+// including gen. The winner of generation gen+1 calls it once its lease is
+// in place: older tokens are leftovers of stealers that lost or died. A late
+// stealer that re-creates a removed token still loses, because the lease it
+// inspected is no longer the one on disk.
+func removeStealTokens(dir string, shard, gen int) {
+	prefix := leaseFileName(shard) + ".steal-"
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, prefix) {
+			continue
+		}
+		if g, err := strconv.Atoi(name[len(prefix):]); err == nil && g <= gen {
+			os.Remove(filepath.Join(dir, name))
+		}
 	}
 }
 

@@ -22,6 +22,12 @@ func plantLease(t *testing.T, dir string, shard int, owner string, attempt int, 
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	backdate(t, path, age)
+}
+
+// backdate sets path's mtime age into the past.
+func backdate(t *testing.T, path string, age time.Duration) {
+	t.Helper()
 	old := time.Now().Add(-age) //sammy:nondeterministic-ok: test backdates a lease file mtime; wall clock is the thing under test
 	if err := os.Chtimes(path, old, old); err != nil {
 		t.Fatal(err)
@@ -152,6 +158,36 @@ func TestLeaseStealRace(t *testing.T) {
 	}
 	if len(winners) == 1 && !winners[0].VerifyOwnership() {
 		t.Error("the winning stealer does not own the lease")
+	}
+}
+
+// TestLeaseStealTokenGatesSteal: a live steal token for the expired
+// generation turns other stealers away; one older than the TTL (its
+// stealer died before renaming) is cleared so the shard stays stealable,
+// and the winning steal leaves no token behind.
+func TestLeaseStealTokenGatesSteal(t *testing.T) {
+	dir := t.TempDir()
+	plantLease(t, dir, 0, "dead", 1, "hash", time.Hour)
+	token := stealTokenPath(dir, 0, 2)
+	if err := os.WriteFile(token, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, _, err := claimShardLease(dir, 0, "late", "hash", time.Minute); err != nil || l != nil {
+		t.Fatalf("steal past a live token: lease=%v err=%v", l, err)
+	}
+	if _, err := os.Stat(token); err != nil {
+		t.Fatalf("a live token was removed: %v", err)
+	}
+	backdate(t, token, 2*time.Minute)
+	if l, _, err := claimShardLease(dir, 0, "late", "hash", time.Minute); err != nil || l != nil {
+		t.Fatalf("steal past a stale token: lease=%v err=%v", l, err)
+	}
+	l, kind, err := claimShardLease(dir, 0, "late", "hash", time.Minute)
+	if err != nil || l == nil || kind != claimStolen || l.Attempt() != 2 {
+		t.Fatalf("steal after the stale token was cleared: lease=%v kind=%v err=%v", l, kind, err)
+	}
+	if tokens, _ := filepath.Glob(filepath.Join(dir, "*.steal-*")); len(tokens) != 0 {
+		t.Errorf("steal tokens left behind: %v", tokens)
 	}
 }
 

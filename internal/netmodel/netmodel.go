@@ -433,30 +433,30 @@ func (c *Conn) result(size, retx units.Bytes, dur, first, meanRTT time.Duration,
 }
 
 // binomialLosses draws the number of randomly lost segments out of n at
-// rate p, using a normal approximation for large n.
+// per-segment loss probability p: an exact Binomial(n, p) sample. It jumps
+// from loss to loss instead of visiting every segment: the gap before the
+// next loss is Geometric(p), drawn by inversion as floor(log u / log(1-p))
+// for u uniform on (0, 1], and the count ends once the next loss would fall
+// past segment n (the "waiting-time" method; Devroye, Non-Uniform Random
+// Variate Generation, 1986, ch. X). That costs one uniform draw per loss
+// plus one, so a 5,600-segment chunk at 2.5e-3 loss takes about 15 draws.
 func (c *Conn) binomialLosses(n int64, p float64) int64 {
 	if n <= 0 || p <= 0 {
 		return 0
 	}
-	mean := float64(n) * p
-	if mean < 5 {
-		var k int64
-		for i := int64(0); i < n; i++ {
-			if c.rng.Float64() < p {
-				k++
-			}
+	if p >= 1 {
+		return n
+	}
+	logq := math.Log1p(-p)
+	var k, pos int64 // losses so far; segments consumed so far
+	for {
+		gap := math.Floor(math.Log(1-c.rng.Float64()) / logq)
+		if gap >= float64(n-pos) {
+			return k
 		}
-		return k
+		pos += int64(gap) + 1
+		k++
 	}
-	sd := math.Sqrt(mean * (1 - p))
-	k := int64(math.Round(mean + c.rng.NormFloat64()*sd))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
 }
 
 // windowFor is the window (segments) that sustains rate over rtt.
