@@ -3,9 +3,11 @@ package abtest
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // goldenABHash is the FNV-1a hash of the fixed-seed A/B population run
@@ -41,6 +43,49 @@ func TestGoldenABTrace(t *testing.T) {
 		t.Errorf("golden A/B trace hash = %s, want %s\n"+
 			"(fixed-seed session records changed: runs are no longer "+
 			"byte-identical across versions)", got, goldenABHash)
+	}
+}
+
+// goldenCIHash is the FNV-1a hash of the Table 2 and Fig 3 bootstrap CIs
+// computed from the same fixed-seed population as TestGoldenABTrace. The
+// session records are pinned by goldenABHash; this pins what the tables
+// make of them, bit for bit, so a faster bootstrap must draw the same
+// resamples and read the same order statistics. Update only for
+// intentional statistical changes (rerun with -run TestGoldenCITables -v).
+const goldenCIHash = "3e43bbf0386e69c6"
+
+// TestGoldenCITables is the cross-version determinism lock for Compare and
+// CompareByPreExperiment: the printed table plus the exact bits of every
+// CI must hash to the recorded constant.
+func TestGoldenCITables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("population experiment")
+	}
+	cfg := Config{
+		Population:       PopulationConfig{Users: 60, Seed: 5},
+		SessionsPerUser:  2,
+		ChunksPerSession: 30,
+	}
+	results := Run(cfg, []Arm{ControlArm(), SammyArm(core.DefaultC0, core.DefaultC1)})
+	h := fnv.New64a()
+	writeCI := func(label string, ci stats.CI) {
+		fmt.Fprintf(h, "%s %016x %016x %016x\n", label,
+			math.Float64bits(ci.Point), math.Float64bits(ci.Lo), math.Float64bits(ci.Hi))
+	}
+	rows := Compare(results[1], results[0], 7)
+	fmt.Fprint(h, FormatTable("table", rows))
+	for _, r := range rows {
+		writeCI(r.Metric, r.CI)
+	}
+	for _, b := range CompareByPreExperiment(results[1], results[0], 7) {
+		writeCI(fmt.Sprintf("%s %d", b.Bucket, b.Sessions), b.CI)
+	}
+	got := fmt.Sprintf("%016x", h.Sum64())
+	t.Logf("CI table hash = %s", got)
+	if got != goldenCIHash {
+		t.Errorf("golden CI table hash = %s, want %s\n"+
+			"(fixed-seed bootstrap CIs changed: Table 2 / Fig 3 are no "+
+			"longer byte-identical across versions)", got, goldenCIHash)
 	}
 }
 

@@ -5,9 +5,11 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -56,21 +58,30 @@ func Quantile(xs []float64, q float64) float64 {
 
 // quantileSorted is Quantile on an already-sorted slice.
 func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantilePos(len(s), q)
 	if lo == hi {
 		return s[lo]
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return lerp(s[lo], s[hi], frac)
 }
+
+// quantilePos locates the q-th quantile of n sorted values: it lies frac
+// of the way from order statistic lo to order statistic hi.
+func quantilePos(n int, q float64) (lo, hi int, frac float64) {
+	if q <= 0 {
+		return 0, 0, 0
+	}
+	if q >= 1 {
+		return n - 1, n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// lerp interpolates linearly between order statistics a and b.
+func lerp(a, b, frac float64) float64 { return a*(1-frac) + b*frac }
 
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
@@ -91,50 +102,63 @@ func (c CI) String() string {
 	return fmt.Sprintf("%.2f [%.2f, %.2f]", c.Point, c.Lo, c.Hi)
 }
 
-// statFunc computes a scalar summary of a sample.
-type statFunc func([]float64) float64
-
-// BootstrapPercentChange estimates the percent change of a summary statistic
-// (e.g. the median) between a treatment and a control sample, with a
-// bootstrap percentile 95% confidence interval. This mirrors how the paper
-// reports "% Chg." with a 95% CI for each A/B metric.
+// MedianPercentChange estimates the percent change of the median between a
+// treatment and a control sample, with a bootstrap percentile 95% confidence
+// interval. This mirrors how the paper reports "% Chg." with a 95% CI for
+// throughput, retransmits, RTT and VMAF.
 //
 // iters bootstrap resamples are drawn using rng; 1000 is plenty for table
-// reproduction. The point estimate uses the full samples.
-func BootstrapPercentChange(treatment, control []float64, stat statFunc, iters int, rng *rand.Rand) CI {
+// reproduction. The point estimate uses the full samples. Each iteration
+// draws len(treatment) indices and then len(control) indices with
+// rng.Intn; callers chain one rng through several metrics, so that draw
+// order is part of the output.
+//
+// Each sample is sorted once. A resample is then a tally of how often each
+// sorted rank was drawn, and its median is read by walking the cumulative
+// tallies to the two middle order statistics: the values a full sort of
+// the resample would put there. The only values that sort as equal but
+// differ in bits are ±0, which only decide a median that is zero, and
+// percentChange maps that to the same delta whatever its sign; so the CI
+// is bit-identical to sorting every resample. (NaNs with distinct
+// payloads would also sort as equal; math.NaN gives them all one.)
+func MedianPercentChange(treatment, control []float64, iters int, rng *rand.Rand) CI {
 	if len(treatment) == 0 || len(control) == 0 {
 		return CI{Point: math.NaN(), Lo: math.NaN(), Hi: math.NaN()}
 	}
-	base := stat(control)
-	point := percentChange(stat(treatment), base)
-
-	deltas := make([]float64, 0, iters)
-	tRes := make([]float64, len(treatment))
-	cRes := make([]float64, len(control))
-	for i := 0; i < iters; i++ {
-		resample(treatment, tRes, rng)
-		resample(control, cRes, rng)
-		b := stat(cRes)
-		deltas = append(deltas, percentChange(stat(tRes), b))
+	t, c := newRankedSample(treatment), newRankedSample(control)
+	deltas := make([]float64, iters)
+	for i := range deltas {
+		tm := t.resampleMedian(rng)
+		deltas[i] = percentChange(tm, c.resampleMedian(rng))
 	}
+	return percentileCI(percentChange(t.median(), c.median()), deltas)
+}
+
+// MeanPercentChange is MedianPercentChange with the mean statistic, used
+// for sparse-event metrics like rebuffer rates where the median is zero.
+// A resample's mean is summed in draw order, which is the order Mean
+// would sum the resampled slice in.
+func MeanPercentChange(treatment, control []float64, iters int, rng *rand.Rand) CI {
+	if len(treatment) == 0 || len(control) == 0 {
+		return CI{Point: math.NaN(), Lo: math.NaN(), Hi: math.NaN()}
+	}
+	deltas := make([]float64, iters)
+	for i := range deltas {
+		tm := resampleMean(treatment, rng)
+		deltas[i] = percentChange(tm, resampleMean(control, rng))
+	}
+	return percentileCI(percentChange(Mean(treatment), Mean(control)), deltas)
+}
+
+// percentileCI pairs point with the 2.5th and 97.5th percentiles of the
+// bootstrap deltas, sorting deltas in place.
+func percentileCI(point float64, deltas []float64) CI {
 	sort.Float64s(deltas)
 	return CI{
 		Point: point,
 		Lo:    quantileSorted(deltas, 0.025),
 		Hi:    quantileSorted(deltas, 0.975),
 	}
-}
-
-// MedianPercentChange is BootstrapPercentChange with the median statistic,
-// the paper's summary for throughput, retransmits, RTT and VMAF.
-func MedianPercentChange(treatment, control []float64, iters int, rng *rand.Rand) CI {
-	return BootstrapPercentChange(treatment, control, Median, iters, rng)
-}
-
-// MeanPercentChange is BootstrapPercentChange with the mean statistic, used
-// for sparse-event metrics like rebuffer rates where the median is zero.
-func MeanPercentChange(treatment, control []float64, iters int, rng *rand.Rand) CI {
-	return BootstrapPercentChange(treatment, control, Mean, iters, rng)
 }
 
 // percentChange returns 100·(x−base)/base, or NaN when base is zero.
@@ -145,11 +169,73 @@ func percentChange(x, base float64) float64 {
 	return 100 * (x - base) / base
 }
 
-// resample fills dst with len(dst) draws (with replacement) from src.
-func resample(src, dst []float64, rng *rand.Rand) {
-	for i := range dst {
-		dst[i] = src[rng.Intn(len(src))]
+// resampleMean returns the mean of len(src) draws (with replacement) from
+// src.
+func resampleMean(src []float64, rng *rand.Rand) float64 {
+	n := len(src)
+	var sum float64
+	for range n {
+		sum += src[rng.Intn(n)]
 	}
+	return sum / float64(n)
+}
+
+// rankedSample is a sample sorted once for repeated bootstrap medians.
+type rankedSample struct {
+	sorted []float64 // the sample in sort.Float64s order (NaN first)
+	rank   []int32   // rank[j] is the index of the j-th input in sorted
+	counts []int32   // counts[r] is how often rank r was drawn this resample
+	lo, hi int       // the median's order statistics in a sample of this size
+	frac   float64   // the median's interpolation weight between lo and hi
+}
+
+func newRankedSample(xs []float64) *rankedSample {
+	n := len(xs)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	// cmp.Compare orders like sort.Float64s: NaN first, -0 equal to +0.
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(xs[a], xs[b]) })
+	r := &rankedSample{sorted: make([]float64, n), rank: make([]int32, n), counts: make([]int32, n)}
+	for pos, j := range order {
+		r.sorted[pos] = xs[j]
+		r.rank[j] = int32(pos)
+	}
+	r.lo, r.hi, r.frac = quantilePos(n, 0.5)
+	return r
+}
+
+// median is Median of the full sample.
+func (r *rankedSample) median() float64 { return quantileSorted(r.sorted, 0.5) }
+
+// resampleMedian returns the median of len(sample) draws (with
+// replacement), making the same rng.Intn calls as filling and sorting a
+// resample would.
+func (r *rankedSample) resampleMedian(rng *rand.Rand) float64 {
+	n := len(r.rank)
+	for range n {
+		r.counts[r.rank[rng.Intn(n)]]++
+	}
+	// Walk the cumulative tallies: the k-th order statistic of the
+	// resample is sorted[pos] for the first pos whose running total
+	// exceeds k.
+	pos, seen := 0, int(r.counts[0])
+	for seen <= r.lo {
+		pos++
+		seen += int(r.counts[pos])
+	}
+	lo := r.sorted[pos]
+	for seen <= r.hi {
+		pos++
+		seen += int(r.counts[pos])
+	}
+	hi := r.sorted[pos]
+	clear(r.counts)
+	if r.lo == r.hi {
+		return lo
+	}
+	return lerp(lo, hi, r.frac)
 }
 
 // Histogram counts xs into nbins equal-width bins across [min, max]. Values
