@@ -189,6 +189,7 @@ func BenchmarkFig3ByPreExperimentThroughput(b *testing.B) {
 // BenchmarkFig4BurstSize regenerates Figure 4: retransmit change vs pacing
 // burst size (paper: -40% at burst 40, up to -60% at burst 4; QoE flat).
 func BenchmarkFig4BurstSize(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		points := lab.BurstSizeExperiment([]int{4, 16, 32, 40}, 40, 6)
 		if i == 0 {

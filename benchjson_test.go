@@ -17,9 +17,10 @@ import (
 	"repro/internal/units"
 )
 
-// This file is the benchmark-regression harness: three suites sized to the
-// event core's layers (bare scheduler, one TCP flow, a reduced-scale
-// Table 2 population run), and an emitter that records them to
+// This file is the benchmark-regression harness: suites sized to the event
+// core's layers (bare scheduler, one TCP flow, a reduced-scale Table 2
+// population run, and the Fig 4 burst sweep with CBR cross traffic from
+// bench_test.go), and an emitter that records them to
 // BENCH_sim.json. CI reruns the emitter and gates merges with
 // cmd/benchcheck against BENCH_baseline.json.
 
@@ -191,6 +192,7 @@ func TestWriteBenchJSON(t *testing.T) {
 			"Table2ProductionAB":     toResult(testing.Benchmark(BenchmarkTable2ProductionAB)),
 			"TraceOffSpans":          toResult(testing.Benchmark(BenchmarkTraceOffSpans)),
 			"PopulationSharded":      toResult(testing.Benchmark(BenchmarkPopulationSharded)),
+			"Fig4BurstSize":          toResult(testing.Benchmark(BenchmarkFig4BurstSize)),
 			"PacingEngineWakeups10k": engine,
 			"PacingSleepWakeups10k":  sleep,
 			"PacingWakeupRatio10k":   ratio,

@@ -88,8 +88,8 @@ func TestPacerWakeCreditExact(t *testing.T) {
 		oversleep = 10 * time.Millisecond // far beyond the 6 ms burst period
 		total     = units.Bytes(12e6)     // ≈12 s simulated
 	)
-	withCredit := runWithOversleep(t, rate, burst, oversleep, total, true)
-	withoutCredit := runWithOversleep(t, rate, burst, oversleep, total, false)
+	withCredit := runWithOversleep(t, rate, burst, oversleep, 0, total, true)
+	withoutCredit := runWithOversleep(t, rate, burst, oversleep, 0, total, false)
 	t.Logf("rate error: %.2f%% with wake credit, %.2f%% without", withCredit, withoutCredit)
 	if withCredit > 1 || withCredit < -1 {
 		t.Errorf("with wake credit: rate error %.2f%%, want within 1%%", withCredit)
@@ -99,9 +99,29 @@ func TestPacerWakeCreditExact(t *testing.T) {
 	}
 }
 
+// TestPacerWakeCreditKeptAcrossSends is the long-oversleep case: a wake
+// several burst periods late is owed several bursts, which the sender can
+// only spend over several Delay calls, and on a real clock time moves
+// between them. The refills those calls make must not clamp the credit
+// back to one burst — that lost ~2% of TestEngineWakeCreditConvergence's
+// throughput whenever a loaded machine delayed the wheel by over 4 ms.
+func TestPacerWakeCreditKeptAcrossSends(t *testing.T) {
+	const (
+		rate      = 8 * units.Mbps
+		burst     = units.Bytes(6000)
+		oversleep = 25 * time.Millisecond // > 4 burst periods
+		step      = 10 * time.Microsecond // clock advance per send
+		total     = units.Bytes(12e6)
+	)
+	if errPct := runWithOversleep(t, rate, burst, oversleep, step, total, true); errPct > 1 || errPct < -1 {
+		t.Errorf("rate error %.2f%% with wake credit and %v per send, want within 1%%", errPct, step)
+	}
+}
+
 // runWithOversleep plays a paced send loop against a virtual clock whose
-// every sleep overshoots by oversleep, returning the percentage rate error.
-func runWithOversleep(t *testing.T, rate units.BitsPerSecond, burst units.Bytes, oversleep time.Duration, total units.Bytes, credit bool) float64 {
+// every sleep overshoots by oversleep and every send takes step, returning
+// the percentage rate error.
+func runWithOversleep(t *testing.T, rate units.BitsPerSecond, burst units.Bytes, oversleep, step time.Duration, total units.Bytes, credit bool) float64 {
 	t.Helper()
 	p := NewPacer(rate, burst)
 	if credit {
@@ -113,6 +133,7 @@ func runWithOversleep(t *testing.T, rate units.BitsPerSecond, burst units.Bytes,
 		if d := p.Delay(now, burst); d > 0 {
 			now += d + oversleep
 		}
+		now += step
 		sent += burst
 	}
 	got := units.Rate(sent, now)

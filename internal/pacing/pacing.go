@@ -107,6 +107,12 @@ func NewPacer(rate units.BitsPerSecond, burst units.Bytes) *Pacer {
 // first refill at or past the intended wake time stretches the cap by
 // rate × oversleep, so exactly the bytes owed for the elapsed wall time are
 // honoured and sustained throughput converges to the requested rate.
+// Credited tokens stay in the bucket until spent: a later refill stops
+// accrual at the burst but never takes back tokens already held, so a
+// sender that wakes several burst periods late sends everything it is owed
+// back to back rather than losing all but one burst of it. Every sleep
+// starts from a deficit, so the bucket never holds more than the burst
+// plus one oversleep's worth.
 //
 // The credit only ever covers scheduling latency of an in-flight Delay —
 // idle time with no sleep pending accrues nothing beyond the burst — and it
@@ -190,7 +196,9 @@ func (p *Pacer) Refund(n units.Bytes) {
 	}
 }
 
-// refill accrues tokens for the time elapsed since the last refill.
+// refill accrues tokens for the time elapsed since the last refill, up to
+// the bucket cap. It never removes tokens: only wake credit can leave the
+// bucket above the burst (see EnableWakeCredit), and those stay until spent.
 func (p *Pacer) refill(now time.Duration) {
 	if now <= p.lastFill {
 		return
@@ -208,8 +216,9 @@ func (p *Pacer) refill(now time.Duration) {
 		cap += float64(p.rate) / 8 * (now - p.wakeAt).Seconds()
 		p.wakeAt = 0
 	}
+	held := p.tokens
 	p.tokens += float64(p.rate) / 8 * elapsed.Seconds()
 	if p.tokens > cap {
-		p.tokens = cap
+		p.tokens = max(cap, held)
 	}
 }

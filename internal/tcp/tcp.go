@@ -153,10 +153,10 @@ type Conn struct {
 	dupAcks    int
 	inRecovery bool
 	recoverSeq int64
-	sentAt     map[int64]time.Duration // send times for RTT sampling (Karn)
+	sentAt     sendTimes // send times for RTT sampling (Karn), based at sndUna
 	pacer      *pacing.Pacer
 	paceTimer  sim.EventRef
-	paceCb     func() // pre-bound pace-timer callback (no per-arm closure)
+	paceCb     func()  // pre-bound pace-timer callback (no per-arm closure)
 	cwndCap    float64 // Trickle-style window cap in segments; 0 = off
 	lastSend   time.Duration
 
@@ -208,7 +208,6 @@ func NewConn(s *sim.Simulator, flow sim.FlowID, fwd sim.Sender, fwdClass *sim.Cl
 		fwd:      fwd,
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: 1 << 30,
-		sentAt:   make(map[int64]time.Duration),
 		ooo:      make(map[int64]bool),
 		rto:      time.Second,
 		pacer:    pacing.NewPacer(pacing.NoPacing, units.Bytes(cfg.PacerBurst)*cfg.MSS),
@@ -417,9 +416,9 @@ func (c *Conn) transmit(seq int64, retrans bool) {
 	if retrans {
 		c.Stats.Retransmits++
 		c.Stats.RetransmitBytes += c.cfg.MSS
-		delete(c.sentAt, seq)
+		c.sentAt.clear(seq)
 	} else {
-		c.sentAt[seq] = c.s.Now()
+		c.sentAt.set(seq, c.s.Now())
 	}
 	c.lastSend = c.s.Now()
 	c.fwd.Send(p) // drop-tail losses surface as missing acks
@@ -435,13 +434,11 @@ func (c *Conn) handleAck(p *sim.Packet) {
 		// RTT sample from the most recent newly acked, never-retransmitted
 		// segment.
 		var rttSample time.Duration
-		if t, ok := c.sentAt[ack-1]; ok {
+		if t, ok := c.sentAt.get(ack - 1); ok {
 			rttSample = c.s.Now() - t
 			c.sampleRTT(rttSample)
 		}
-		for s := c.sndUna; s < ack; s++ {
-			delete(c.sentAt, s)
-		}
+		c.sentAt.advance(ack)
 		c.sndUna = ack
 		c.Stats.DeliveredBytes += units.Bytes(newlyAcked) * c.cfg.MSS
 		if c.metrics != nil {

@@ -11,7 +11,7 @@ package tdigest
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // centroid is a weighted point in the sketch.
@@ -251,7 +251,7 @@ func (t *TDigest) compress() {
 	}
 	merged := append(t.centroids, t.buffer...)
 	t.buffer = t.buffer[:0]
-	sort.Slice(merged, func(i, j int) bool { return merged[i].mean < merged[j].mean })
+	slices.SortFunc(merged, byMean)
 
 	out := merged[:0]
 	var cum float64 // weight before the current output centroid
@@ -275,6 +275,23 @@ func (t *TDigest) compress() {
 	}
 	out = append(out, cur)
 	t.centroids = append([]centroid(nil), out...)
+}
+
+// byMean orders centroids by mean. The weighted merge in compress is
+// sensitive to the order of equal-mean centroids, and every snapshot and
+// golden depends on it: slices.SortFunc with byMean leaves ties exactly
+// where sort.Slice with less = a.mean < b.mean does, because both are
+// instances of the standard library's pdqsort template and this comparator
+// is < 0 exactly where that less is true. TestCompressMatchesSortSlice and
+// TestByMeanPermutationMatchesSortSlice pin this.
+func byMean(a, b centroid) int {
+	switch {
+	case a.mean < b.mean:
+		return -1
+	case b.mean < a.mean:
+		return 1
+	}
+	return 0
 }
 
 // kScale is the k1 scale function, k1(q) = δ/(2π)·asin(2q−1), which maps

@@ -1,22 +1,24 @@
 // Package traffic implements the neighbor workloads the paper's §6 lab
 // experiments share a bottleneck with: a paced UDP constant-bit-rate flow
-// measured for one-way delay (Fig 8a), a bulk TCP flow measured for
-// throughput (Fig 8b), and repeated fixed-size HTTP requests measured for
-// response time (Fig 8c). (The fourth neighbor, another video session, is
-// just a second player.SimPlayer.)
+// measured for mean one-way delay (Fig 8a; a running sum, with no
+// per-packet samples kept), a bulk TCP flow measured for throughput
+// (Fig 8b), and repeated fixed-size HTTP requests measured for response
+// time (Fig 8c). (The fourth neighbor, another video session, is just a
+// second player.SimPlayer.)
 package traffic
 
 import (
 	"time"
 
 	"repro/internal/sim"
-	"repro/internal/tdigest"
 	"repro/internal/units"
 )
 
 // UDPFlow sends constant-bit-rate UDP packets through a (shared) forward
-// link and records the one-way delay of each delivered packet. Lost packets
-// count separately.
+// link and records the mean one-way delay of delivered packets as a running
+// sum; it keeps no per-packet samples. Lost packets count separately. Once
+// started, a flow allocates nothing per packet: packets come from the
+// simulator's pool and the send callback is bound once.
 type UDPFlow struct {
 	s    *sim.Simulator
 	fwd  sim.Sender
@@ -27,8 +29,8 @@ type UDPFlow struct {
 	seq      int64
 	stopped  bool
 	delaySum float64 // Σ delay in ms, for MeanDelay
+	sendCb   func()  // pre-bound sendNext (no per-packet method-value alloc)
 
-	Delays  *tdigest.TDigest // one-way delay samples, milliseconds
 	Sent    int64
 	Arrived int64
 }
@@ -40,10 +42,8 @@ func NewUDPFlow(s *sim.Simulator, flow sim.FlowID, fwd sim.Sender, fwdClass *sim
 	if rate <= 0 || packetSize <= 0 {
 		panic("traffic: UDP flow needs positive rate and packet size")
 	}
-	u := &UDPFlow{
-		s: s, fwd: fwd, flow: flow, rate: rate, size: packetSize,
-		Delays: tdigest.New(100),
-	}
+	u := &UDPFlow{s: s, fwd: fwd, flow: flow, rate: rate, size: packetSize}
+	u.sendCb = u.sendNext
 	fwdClass.Register(flow, sim.HandlerFunc(u.receive))
 	return u
 }
@@ -60,8 +60,6 @@ func (u *UDPFlow) MeanDelay() time.Duration {
 	if u.Arrived == 0 {
 		return 0
 	}
-	// The digest's median approximates the center; for a mean we keep a
-	// running sum instead.
 	return time.Duration(u.delaySum / float64(u.Arrived) * float64(time.Millisecond))
 }
 
@@ -83,13 +81,11 @@ func (u *UDPFlow) sendNext() {
 	u.seq++
 	u.Sent++
 	u.fwd.Send(p)
-	u.s.Schedule(u.rate.TimeToSend(u.size), u.sendNext)
+	u.s.Schedule(u.rate.TimeToSend(u.size), u.sendCb)
 }
 
 func (u *UDPFlow) receive(p *sim.Packet) {
 	u.Arrived++
 	d := u.s.Now() - p.SentAt
-	ms := d.Seconds() * 1000
-	u.Delays.Add(ms)
-	u.delaySum += ms
+	u.delaySum += d.Seconds() * 1000
 }

@@ -136,3 +136,29 @@ func TestUDPFlowPanicsOnBadConfig(t *testing.T) {
 	}()
 	NewUDPFlow(l.s, 1, l.fwd, l.class, 0, 1500)
 }
+
+// TestUDPFlowSteadyStateZeroAlloc asserts that a warm CBR flow sends and
+// delivers each packet without allocating: packets come from the
+// simulator's pool, the send callback is bound once, and delivery only
+// updates running counters.
+func TestUDPFlowSteadyStateZeroAlloc(t *testing.T) {
+	l := newLab(40*units.Mbps, 4)
+	rate, size := 5*units.Mbps, units.Bytes(1500)
+	u := NewUDPFlow(l.s, 1, l.fwd, l.class, rate, size)
+	u.Start()
+	l.s.RunUntil(time.Second)
+	gap := rate.TimeToSend(size)
+	sent, arrived := u.Sent, u.Arrived
+	const runs = 1000
+	avg := testing.AllocsPerRun(runs, func() {
+		l.s.RunUntil(l.s.Now() + gap) // one packet sent, one delivered
+	})
+	if avg != 0 {
+		t.Errorf("steady CBR flow allocates %.2f allocs/packet, want 0", avg)
+	}
+	// AllocsPerRun makes one extra warm-up call.
+	if u.Sent-sent != runs+1 || u.Arrived-arrived != runs+1 {
+		t.Fatalf("sent %d and delivered %d packets over %d intervals, want one each per interval",
+			u.Sent-sent, u.Arrived-arrived, runs+1)
+	}
+}
